@@ -197,7 +197,9 @@ func (e *Engine) Open(ctx context.Context, source Source, sink Sink) (*Session, 
 	if err != nil {
 		cancel()
 		s.release()
-		return nil, err
+		// Close or Drain may win the race after the checks above, in
+		// which case the backend reports its own lifecycle error.
+		return nil, lifecycleErr(err)
 	}
 	s.bs = bs
 	go func() {
@@ -245,6 +247,23 @@ func (e *Engine) Close() error {
 		g.closeImpl()
 	}
 	return cur.closeErr
+}
+
+// lifecycleErr maps a backend's own closed and draining errors onto the
+// public ErrEngineClosed and ErrEngineDraining, so every backend reports
+// the engine's lifecycle identically; other errors pass through.
+func lifecycleErr(err error) error {
+	switch {
+	case errors.Is(err, stream.ErrEngineClosed),
+		errors.Is(err, sim.ErrEngineClosed),
+		errors.Is(err, dist.ErrEngineClosed):
+		return ErrEngineClosed
+	case errors.Is(err, stream.ErrEngineDraining),
+		errors.Is(err, sim.ErrEngineDraining),
+		errors.Is(err, dist.ErrEngineDraining):
+		return ErrEngineDraining
+	}
+	return err
 }
 
 func (e *Engine) isClosed() bool {
@@ -339,11 +358,8 @@ func (s *Session) Wait() (*RunStats, error) {
 	stats, err := s.bs.wait()
 	s.release()
 	if err != nil {
+		err = lifecycleErr(err)
 		switch {
-		case errors.Is(err, stream.ErrEngineClosed),
-			errors.Is(err, sim.ErrEngineClosed),
-			errors.Is(err, dist.ErrEngineClosed):
-			err = ErrEngineClosed
 		case errors.Is(err, context.Canceled) && s.evicted.Load():
 			// A retired generation's drain deadline cancelled the session
 			// (no retry policy to migrate it under).

@@ -413,6 +413,63 @@ func TestEngineCloseDuringOpenRace(t *testing.T) {
 	}
 }
 
+// TestEngineLifecycleErrorsAcrossBackends pins one typed mapping of the
+// engine lifecycle on every backend: Open once a Drain has begun is
+// ErrEngineDraining and Open after Close is ErrEngineClosed — both at
+// the public admission checks and when the backend's own Open reports
+// the state (Close or Drain winning the race past those checks).
+func TestEngineLifecycleErrorsAcrossBackends(t *testing.T) {
+	ctx := context.Background()
+	for name, p := range backendsFor(t, fig1Topo, fig1Kernels()...) {
+		name, p := name, p
+		t.Run(name, func(t *testing.T) {
+			impl, err := p.backend.newEngine(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := impl.drain(ctx); err != nil {
+				t.Fatal(err)
+			}
+			_, err = impl.open(ctx, 1, SliceSource(payloads(1)...), nil)
+			if err == nil || !errors.Is(lifecycleErr(err), ErrEngineDraining) {
+				t.Errorf("backend Open while draining: %v maps to %v, want ErrEngineDraining", err, lifecycleErr(err))
+			}
+			if err := impl.close(); err != nil {
+				t.Fatal(err)
+			}
+			_, err = impl.open(ctx, 2, SliceSource(payloads(1)...), nil)
+			if err == nil || !errors.Is(lifecycleErr(err), ErrEngineClosed) {
+				t.Errorf("backend Open after Close: %v maps to %v, want ErrEngineClosed", err, lifecycleErr(err))
+			}
+
+			eng, err := p.Engine()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			ses, err := eng.Open(ctx, SliceSource(payloads(3)...), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Drain(ctx); err != nil {
+				t.Fatalf("Drain: %v", err)
+			}
+			if _, err := ses.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Open(ctx, SliceSource(payloads(1)...), nil); !errors.Is(err, ErrEngineDraining) {
+				t.Errorf("Open after Drain: %v, want ErrEngineDraining", err)
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Open(ctx, SliceSource(payloads(1)...), nil); !errors.Is(err, ErrEngineClosed) {
+				t.Errorf("Open after Close: %v, want ErrEngineClosed", err)
+			}
+		})
+	}
+}
+
 // TestEngineStatefulSingleSessionGate: pipelines with Stateful stages
 // accept one session at a time, and sequential sessions get fresh state.
 func TestEngineStatefulSingleSessionGate(t *testing.T) {

@@ -190,7 +190,7 @@ func (e *Engine) Drain(ctx context.Context) (*Checkpoint, error) {
 	e.mu.Unlock()
 	for _, g := range gens {
 		if err := g.impl.drain(ctx); err != nil {
-			return nil, err
+			return nil, lifecycleErr(err)
 		}
 	}
 	e.mu.Lock()

@@ -268,6 +268,12 @@ func (k flowSourceKernel[In]) Process(seq uint64, in []Input) map[int]any {
 	return broadcast(k.nOut, v)
 }
 
+func (k flowSourceKernel[In]) ProcessOut(seq uint64, in []Input, out []any, emitted []bool) {
+	if v, ok := castPayload[In](k.slot, "source", seq, in[0].Payload); ok {
+		broadcastOut(k.nOut, v, out, emitted)
+	}
+}
+
 func (k flowSourceKernel[In]) ProcessSpan(_ uint64, in, out []any) int {
 	for j, p := range in {
 		v, ok := assertAs[In](p)
@@ -301,6 +307,10 @@ func (k flowSinkKernel[Out]) Process(seq uint64, in []Input) map[int]any {
 		castPayload[Out](k.slot, "sink", seq, p)
 	}
 	return nil
+}
+
+func (k flowSinkKernel[Out]) ProcessOut(seq uint64, in []Input, _ []any, _ []bool) {
+	k.Process(seq, in)
 }
 
 func (k flowSinkKernel[Out]) ProcessSpan(seq0 uint64, in, out []any) int {

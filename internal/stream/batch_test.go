@@ -180,10 +180,10 @@ func benchEngineBatch(b *testing.B, batch int) {
 func BenchmarkEngineBatch1(b *testing.B)  { benchEngineBatch(b, 1) }
 func BenchmarkEngineBatch64(b *testing.B) { benchEngineBatch(b, 64) }
 
-// TestBatchedAllocRegression is the allocation gate: at batch 64 the hot
-// path must allocate O(1) per batch.  With 4096 messages per session over
-// a 3-node chain, the per-element engine pays several allocations per
-// message; the batched one must come in far below one per message.
+// TestBatchedAllocRegression is the allocation gate: with 4096 messages
+// per session over a 3-node chain, the batched hot path must allocate
+// O(1) per batch and the per-element path O(1) per session — both far
+// below one allocation per message.
 func TestBatchedAllocRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation benchmark")
@@ -194,13 +194,13 @@ func TestBatchedAllocRegression(t *testing.T) {
 	per64 := float64(res64.AllocsPerOp()) / perOp
 	per1 := float64(res1.AllocsPerOp()) / perOp
 	t.Logf("allocs per message: batch64 = %.3f, batch1 = %.3f", per64, per1)
-	// Loose bound: well under one allocation per message (the batched
-	// path allocates per span), while the per-element path is ≥ 2
-	// (event queue slots, input slices) — and batch 64 must beat it.
+	// The batched path allocates per span; the per-element path reuses
+	// its ring heads and kernel buffers, so what it allocates is the
+	// session's own set-up (~56 allocations, 0.014 per message here).
 	if per64 > 0.75 {
 		t.Errorf("batch-64 hot path allocates %.3f per message; want O(1) per batch (< 0.75)", per64)
 	}
-	if per64 > per1/2 {
-		t.Errorf("batch-64 allocates %.3f per message vs %.3f at batch 1; want at least a 2x reduction", per64, per1)
+	if per1 > 0.05 {
+		t.Errorf("batch-1 hot path allocates %.3f per message; want O(1) per session (< 0.05)", per1)
 	}
 }

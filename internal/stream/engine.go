@@ -189,7 +189,12 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 		}
 		n.sess = make(map[proto.SessionID]*nodeSession)
 		n.creditAcc = make([]int, len(n.in))
-		n.emitted = make([]bool, len(n.out))
+		nOut := len(n.out)
+		if nOut == 0 {
+			nOut = 1 // a sink's position 0 is its payload (SinkPayload)
+		}
+		n.outBuf = make([]any, nOut)
+		n.emitted = make([]bool, nOut)
 		n.seqs = make([]uint64, len(n.in))
 		n.batch = cfg.MaxBatch
 		if b, ok := cfg.NodeBatch[id]; ok {
@@ -967,12 +972,13 @@ type engineNode struct {
 	sess      map[proto.SessionID]*nodeSession
 	dirty     []*nodeSession
 	creditAcc []int // per in-pos credits consumed this advance
-	emitted   []bool
 	seqs      []uint64
-	// runIn is the reusable kernel-input slice of the batched path;
-	// batched kernels must not retain it across calls (the per-element
-	// path keeps allocating fresh slices, so batch == 1 is unaffected).
-	runIn []Input
+	// runIn, outBuf and emitted are the kernel's reusable argument and
+	// result buffers (see process): every firing reuses them, so the
+	// per-element path allocates nothing.
+	runIn   []Input
+	outBuf  []any
+	emitted []bool
 	// allTrue is the constant all-edges-emitted mask handed to FireRun
 	// by the full-mask fast path.
 	allTrue []bool
@@ -1010,7 +1016,7 @@ const obsSampleRate = 8
 type nodeSession struct {
 	ses *EngineSession
 	// heads[i] is the FIFO of arrived, unconsumed messages on in-pos i.
-	heads [][]Message
+	heads []fifo[Message]
 	// engine is this session's dummy-protocol state at this node.
 	engine *proto.Engine
 	// pendingMsg[i]/pendingSet[i] park the firing's message for out-pos i
@@ -1035,12 +1041,12 @@ type nodeSession struct {
 	// an observer attached, owned by the node goroutine.
 	stallSince []int64
 
-	nextSeq      uint64 // source only: next ingestion sequence number
-	ingestQ      []any  // source only: granted payloads awaiting firing
-	grants       int    // source only: grant tokens outstanding at the pump
-	srcDone      bool   // source only: the stream's source ended
-	sinkInflight int    // sink only: emissions outstanding at the pump
-	finishOnIdle bool   // sink only: EOS consumed, waiting for the pump
+	nextSeq      uint64    // source only: next ingestion sequence number
+	ingestQ      fifo[any] // source only: granted payloads awaiting firing
+	grants       int       // source only: grant tokens outstanding at the pump
+	srcDone      bool      // source only: the stream's source ended
+	sinkInflight int       // sink only: emissions outstanding at the pump
+	finishOnIdle bool      // sink only: EOS consumed, waiting for the pump
 	done         bool
 	aborted      bool // session ended; state dropped, skip advances
 	dirty        bool // queued in the node's per-batch advance list
@@ -1141,7 +1147,7 @@ func (n *engineNode) absorb(ev event) {
 	if ev.kind == evOpen {
 		ns := &nodeSession{
 			ses:        ev.ses,
-			heads:      make([][]Message, len(n.in)),
+			heads:      make([]fifo[Message], len(n.in)),
 			engine:     proto.NewEngine(n.out, proto.Config{Algorithm: n.e.cfg.Algorithm, Intervals: n.e.cfg.Intervals}),
 			pendingMsg: make([]Message, len(n.out)),
 			pendingSet: make([]bool, len(n.out)),
@@ -1164,7 +1170,7 @@ func (n *engineNode) absorb(ev event) {
 	switch ev.kind {
 	case evMsg:
 		if ev.span != nil {
-			ns.heads[ev.pos] = append(ns.heads[ev.pos], ev.span...)
+			ns.heads[ev.pos].pushAll(ev.span)
 			if ev.free {
 				sp := ev.span
 				for i := range sp {
@@ -1173,7 +1179,7 @@ func (n *engineNode) absorb(ev event) {
 				spanFree.Put(sp[:0])
 			}
 		} else {
-			ns.heads[ev.pos] = append(ns.heads[ev.pos], ev.msg)
+			ns.heads[ev.pos].push(ev.msg)
 		}
 	case evCredit:
 		ns.inflight[ev.pos] -= ev.cnt
@@ -1191,7 +1197,7 @@ func (n *engineNode) absorb(ev event) {
 		if t != h {
 			ring, mask := ev.ses.ring, ev.ses.ringMask
 			for i := h; i < t; i++ {
-				ns.ingestQ = append(ns.ingestQ, ring[i&mask])
+				ns.ingestQ.push(ring[i&mask])
 				ring[i&mask] = nil
 			}
 			ev.ses.ingHead.Store(t)
@@ -1256,7 +1262,7 @@ func (n *engineNode) advance(ns *nodeSession) {
 // pump granted up to its window.
 func (n *engineNode) advanceSource(ns *nodeSession) {
 	for !ns.done && ns.pendingN == 0 {
-		if len(ns.ingestQ) > 0 {
+		if ns.ingestQ.len() > 0 {
 			if len(n.out) == 0 && ns.ses.sink != nil && ns.sinkInflight >= n.e.sinkWin {
 				break // degenerate source-sink: pump window full
 			}
@@ -1264,12 +1270,8 @@ func (n *engineNode) advanceSource(ns *nodeSession) {
 				n.fireSourceRun(ns)
 				continue
 			}
-			payload := ns.ingestQ[0]
-			ns.ingestQ[0] = nil
-			ns.ingestQ = ns.ingestQ[1:]
-			if len(ns.ingestQ) == 0 {
-				ns.ingestQ = nil // let the drained backing array go
-			}
+			payload := *ns.ingestQ.at(0)
+			ns.ingestQ.pop(1)
 			n.fireSource(ns, payload)
 			continue
 		}
@@ -1294,7 +1296,7 @@ func (n *engineNode) advanceSource(ns *nodeSession) {
 	// round-trips a grant per payload: grants post as one counter add
 	// plus a non-blocking wake.
 	if !ns.done && !ns.srcDone {
-		if k := n.e.srcWin - ns.grants - len(ns.ingestQ); k > 0 {
+		if k := n.e.srcWin - ns.grants - ns.ingestQ.len(); k > 0 {
 			ns.grants += k
 			ns.ses.readyN.Add(int64(k))
 			select {
@@ -1437,10 +1439,10 @@ func (n *engineNode) setPending(ns *nodeSession, pos int, m Message) {
 // happened.  This is NodeLoop's consume step, demuxed per session.
 func (n *engineNode) fireOnce(ns *nodeSession) bool {
 	for i := range ns.heads {
-		if len(ns.heads[i]) == 0 {
+		if ns.heads[i].len() == 0 {
 			return false
 		}
-		n.seqs[i] = ns.heads[i][0].Seq
+		n.seqs[i] = ns.heads[i].at(0).Seq
 	}
 	minSeq := proto.MinSeq(n.seqs)
 	if minSeq == proto.EOSSeq {
@@ -1460,7 +1462,7 @@ func (n *engineNode) fireOnce(ns *nodeSession) bool {
 	}
 	anyData := false
 	for i := range ns.heads {
-		h := &ns.heads[i][0]
+		h := ns.heads[i].at(0)
 		if h.Seq == minSeq && h.Kind == Data {
 			anyData = true
 		}
@@ -1468,44 +1470,61 @@ func (n *engineNode) fireOnce(ns *nodeSession) bool {
 	if len(n.out) == 0 && anyData && ns.sinkInflight >= n.e.sinkWin {
 		return false // the sink pump's window is full
 	}
-	inputs := make([]Input, len(n.in))
 	for i := range ns.heads {
-		h := ns.heads[i][0]
+		h := ns.heads[i].at(0)
 		if h.Seq != minSeq {
 			continue
 		}
 		if h.Kind == Data {
-			inputs[i] = Input{Present: true, Payload: h.Payload}
+			n.runIn[i] = Input{Present: true, Payload: h.Payload}
 		}
 		n.popHead(ns, i)
 	}
-	var outs map[int]any
 	if anyData {
-		outs = n.kernel.Process(minSeq, inputs)
+		n.process(minSeq)
 		ns.ses.progress.Add(1)
 		if n.obsN != nil {
 			n.obsN.Firings.Add(1)
 		}
 		if len(n.out) == 0 {
-			n.sinkEmit(ns, minSeq, SinkPayload(inputs, outs))
+			n.sinkEmit(ns, minSeq, n.sinkPayload())
+		}
+	} else {
+		clear(n.emitted) // an all-dummy alignment emits no data
+	}
+	clear(n.runIn)
+	n.queueFiring(ns, minSeq)
+	return true
+}
+
+// process fires the kernel once on runIn into outBuf/emitted: the single
+// call site of every per-element firing (see ProcessOut).
+func (n *engineNode) process(seq uint64) {
+	ProcessOut(n.kernel, seq, n.runIn, n.outBuf, n.emitted)
+}
+
+// sinkPayload is SinkPayload over the buffers of the firing process just
+// ran: position 0 when the kernel emitted it, else the first present
+// input.
+func (n *engineNode) sinkPayload() any {
+	if n.emitted[0] {
+		return n.outBuf[0]
+	}
+	for _, i := range n.runIn {
+		if i.Present {
+			return i.Payload
 		}
 	}
-	n.queueFiring(ns, minSeq, outs)
-	return true
+	return nil
 }
 
 // popHead consumes the head of in-pos i; the credit is accumulated and
 // acked in one batch by flushCredits at the end of the advance.
 func (n *engineNode) popHead(ns *nodeSession, i int) { n.popHeads(ns, i, 1) }
 
-// popHeads consumes the first k messages of in-pos i with one shift.
+// popHeads consumes the first k messages of in-pos i.
 func (n *engineNode) popHeads(ns *nodeSession, i, k int) {
-	q := ns.heads[i]
-	copy(q, q[k:])
-	for j := len(q) - k; j < len(q); j++ {
-		q[j] = Message{}
-	}
-	ns.heads[i] = q[:len(q)-k]
+	ns.heads[i].pop(k)
 	ns.ses.occupancy[n.in[i]].Add(-int64(k))
 	if n.obsIn != nil {
 		n.obsIn[i].Consumed.Add(int64(k))
@@ -1526,7 +1545,7 @@ func (n *engineNode) parkSpan(ns *nodeSession, pos int, span []Message) {
 // consumes a run of consecutive data heads in one protocol step.  The
 // kernel still runs once per element — in sequence order, exactly as the
 // per-element path would call it — but the protocol work amortizes: one
-// FireRun instead of k Fires, one head shift, one credit batch, one span
+// FireRun instead of k Fires, one head advance, one credit batch, one span
 // send per out-edge.  The run extends only while every element emits data
 // on every out-edge (so FireRun's no-dummy precondition holds trivially);
 // the first element that filters anything ends the run — its prefix
@@ -1534,16 +1553,16 @@ func (n *engineNode) parkSpan(ns *nodeSession, pos int, span []Message) {
 // outputs already computed (kernels may be stateful, so Process is never
 // re-invoked).  Reports whether anything was consumed.
 func (n *engineNode) fireRun(ns *nodeSession) bool {
-	q := ns.heads[0]
-	if len(q) == 0 {
+	q := &ns.heads[0]
+	if q.len() == 0 {
 		return false
 	}
-	if q[0].Kind != Data {
+	if q.at(0).Kind != Data {
 		// Dummy and EOS heads keep their per-element semantics.
 		return n.fireOnce(ns)
 	}
 	isSink := len(n.out) == 0
-	k := len(q)
+	k := q.len()
 	if k > n.batch {
 		k = n.batch
 	}
@@ -1557,7 +1576,7 @@ func (n *engineNode) fireRun(ns *nodeSession) bool {
 		}
 	}
 	for j := 1; j < k; j++ {
-		if q[j].Kind != Data {
+		if q.at(j).Kind != Data {
 			k = j
 			break
 		}
@@ -1567,17 +1586,17 @@ func (n *engineNode) fireRun(ns *nodeSession) bool {
 	var emSeqs []uint64   // sink only: accumulated emissions
 	var emPays []any
 	committed := 0
-	var partialOuts map[int]any
 	var partialSeq uint64
 	partial := false
+	seq0 := q.at(0).Seq
 	if n.spanK != nil && k > 1 {
 		// Vectorized kernel: one ProcessSpan call maps the accepted
 		// prefix with no per-element output maps; a declined element
 		// falls through to the per-element loop below, in order.
 		for j := 0; j < k; j++ {
-			n.spanIn[j] = q[j].Payload
+			n.spanIn[j] = q.at(j).Payload
 		}
-		vec := n.spanK.ProcessSpan(q[0].Seq, n.spanIn[:k], n.spanOut[:k])
+		vec := n.spanK.ProcessSpan(seq0, n.spanIn[:k], n.spanOut[:k])
 		if n.obsN != nil && vec > 0 {
 			n.obsN.Spans.Add(1)
 			n.obsN.SpanMsgs.Add(int64(vec))
@@ -1592,7 +1611,7 @@ func (n *engineNode) fireRun(ns *nodeSession) bool {
 				emSeqs = getSeqBuf(k)
 				emPays = getPayBuf(k)
 				for j := 0; j < vec; j++ {
-					emSeqs = append(emSeqs, q[j].Seq)
+					emSeqs = append(emSeqs, q.at(j).Seq)
 					emPays = append(emPays, n.spanOut[j])
 				}
 			}
@@ -1601,7 +1620,7 @@ func (n *engineNode) fireRun(ns *nodeSession) bool {
 			for i := range spans {
 				span := getSpan(k)
 				for j := 0; j < vec; j++ {
-					span = append(span, Message{Seq: q[j].Seq, Kind: Data, Payload: n.spanOut[j]})
+					span = append(span, Message{Seq: q.at(j).Seq, Kind: Data, Payload: n.spanOut[j]})
 				}
 				spans[i] = span
 			}
@@ -1612,9 +1631,10 @@ func (n *engineNode) fireRun(ns *nodeSession) bool {
 		}
 	}
 	for j := committed; j < k; j++ {
-		seq := q[j].Seq
-		n.runIn[0] = Input{Present: true, Payload: q[j].Payload}
-		outs := n.kernel.Process(seq, n.runIn)
+		h := q.at(j)
+		seq := h.Seq
+		n.runIn[0] = Input{Present: true, Payload: h.Payload}
+		n.process(seq)
 		if n.obsN != nil {
 			n.obsN.Firings.Add(1)
 		}
@@ -1629,20 +1649,14 @@ func (n *engineNode) fireRun(ns *nodeSession) bool {
 					emPays = getPayBuf(k)
 				}
 				emSeqs = append(emSeqs, seq)
-				emPays = append(emPays, SinkPayload(n.runIn, outs))
+				emPays = append(emPays, n.sinkPayload())
 			}
 			committed++
 			continue
 		}
-		full := true
-		for i := range n.out {
-			if _, ok := outs[i]; !ok {
-				full = false
-				break
-			}
-		}
-		if !full {
-			partial, partialOuts, partialSeq = true, outs, seq
+		if !n.emittedAll() {
+			// queueFiring below consumes the outputs still in outBuf.
+			partial, partialSeq = true, seq
 			break
 		}
 		if spans == nil {
@@ -1652,11 +1666,14 @@ func (n *engineNode) fireRun(ns *nodeSession) bool {
 			}
 		}
 		for i := range n.out {
-			spans[i] = append(spans[i], Message{Seq: seq, Kind: Data, Payload: outs[i]})
+			spans[i] = append(spans[i], Message{Seq: seq, Kind: Data, Payload: n.outBuf[i]})
 		}
 		committed++
 	}
 	n.runIn[0] = Input{}
+	if !partial {
+		clear(n.outBuf)
+	}
 
 	if committed > 0 {
 		if isSink {
@@ -1667,7 +1684,7 @@ func (n *engineNode) fireRun(ns *nodeSession) bool {
 			}
 		} else {
 			// All-true masks never dummy, so FireRun always accepts.
-			ns.engine.FireRun(q[0].Seq, q[committed-1].Seq, n.allTrue)
+			ns.engine.FireRun(seq0, q.at(committed-1).Seq, n.allTrue)
 			for i := range n.out {
 				n.parkSpan(ns, i, spans[i])
 			}
@@ -1678,27 +1695,37 @@ func (n *engineNode) fireRun(ns *nodeSession) bool {
 	if partial {
 		n.popHeads(ns, 0, 1)
 		ns.ses.progress.Add(1)
-		n.queueFiring(ns, partialSeq, partialOuts)
+		n.queueFiring(ns, partialSeq)
 	}
 	n.flush(ns)
 	return true
 }
 
-// queueFiring parks the firing's messages — data per the kernel, dummies
-// per the shared protocol engine — and flushes what fits.
-func (n *engineNode) queueFiring(ns *nodeSession, seq uint64, outs map[int]any) {
-	for i := range n.emitted {
-		_, n.emitted[i] = outs[i]
+// emittedAll reports whether the last firing emitted data on every
+// out-edge — the batched runs' condition for extending a span.
+func (n *engineNode) emittedAll() bool {
+	for i := range n.out {
+		if !n.emitted[i] {
+			return false
+		}
 	}
-	dummy := ns.engine.Fire(seq, n.emitted)
-	for i := range n.emitted {
+	return true
+}
+
+// queueFiring parks the firing in outBuf/emitted — data per the kernel,
+// dummies per the shared protocol engine — and flushes what fits.
+func (n *engineNode) queueFiring(ns *nodeSession, seq uint64) {
+	emitted := n.emitted[:len(n.out)]
+	dummy := ns.engine.Fire(seq, emitted)
+	for i, em := range emitted {
 		switch {
-		case n.emitted[i]:
-			n.setPending(ns, i, Message{Seq: seq, Kind: Data, Payload: outs[i]})
+		case em:
+			n.setPending(ns, i, Message{Seq: seq, Kind: Data, Payload: n.outBuf[i]})
 		case dummy[i]:
 			n.setPending(ns, i, Message{Seq: seq, Kind: Dummy})
 		}
 	}
+	clear(n.outBuf)
 	n.flush(ns)
 }
 
@@ -1739,11 +1766,11 @@ func (n *engineNode) advanceTimed(ns *nodeSession) {
 // fired in the node's private output-sequence space (see timed.go).
 // Reports whether anything was consumed.
 func (n *engineNode) fireTimed(ns *nodeSession) bool {
-	q := ns.heads[0]
-	if len(q) == 0 {
+	q := &ns.heads[0]
+	if q.len() == 0 {
 		return false
 	}
-	h := q[0]
+	h := *q.at(0)
 	if h.Seq == proto.EOSSeq {
 		n.popHead(ns, 0)
 		n.stopTimer(ns)
@@ -1849,16 +1876,17 @@ func (n *engineNode) stopTimer(ns *nodeSession) {
 func (n *engineNode) fireSource(ns *nodeSession, payload any) {
 	seq := ns.nextSeq
 	ns.nextSeq++
-	in := []Input{{Present: true, Payload: payload}}
-	outs := n.kernel.Process(seq, in)
+	n.runIn[0] = Input{Present: true, Payload: payload}
+	n.process(seq)
 	ns.ses.progress.Add(1)
 	if n.obsN != nil {
 		n.obsN.Firings.Add(1)
 	}
 	if len(n.out) == 0 {
-		n.sinkEmit(ns, seq, SinkPayload(in, outs))
+		n.sinkEmit(ns, seq, n.sinkPayload())
 	}
-	n.queueFiring(ns, seq, outs)
+	n.runIn[0] = Input{}
+	n.queueFiring(ns, seq)
 }
 
 // fireSourceRun is fireSource's vectorized counterpart: it ingests up to
@@ -1868,20 +1896,19 @@ func (n *engineNode) fireSource(ns *nodeSession, payload any) {
 // so request/response feedback sources never see the engine hold a
 // payload while demanding another; batching happens here, on the queue.
 func (n *engineNode) fireSourceRun(ns *nodeSession) {
-	k := len(ns.ingestQ)
+	k := ns.ingestQ.len()
 	if k > n.batch {
 		k = n.batch
 	}
 	var spans [][]Message
 	committed := 0
-	var partialOuts map[int]any
 	var partialSeq uint64
 	partial := false
 	if n.spanK != nil && k > 1 {
 		// Vectorized kernel: see fireRun (sources are never sinks here —
 		// advanceSource only batches when out-edges exist).
 		for j := 0; j < k; j++ {
-			n.spanIn[j] = ns.ingestQ[j]
+			n.spanIn[j] = *ns.ingestQ.at(j)
 		}
 		vec := n.spanK.ProcessSpan(ns.nextSeq, n.spanIn[:k], n.spanOut[:k])
 		if n.obsN != nil && vec > 0 {
@@ -1906,20 +1933,13 @@ func (n *engineNode) fireSourceRun(ns *nodeSession) {
 	}
 	for j := committed; j < k; j++ {
 		seq := ns.nextSeq + uint64(j)
-		n.runIn[0] = Input{Present: true, Payload: ns.ingestQ[j]}
-		outs := n.kernel.Process(seq, n.runIn)
+		n.runIn[0] = Input{Present: true, Payload: *ns.ingestQ.at(j)}
+		n.process(seq)
 		if n.obsN != nil {
 			n.obsN.Firings.Add(1)
 		}
-		full := true
-		for i := range n.out {
-			if _, ok := outs[i]; !ok {
-				full = false
-				break
-			}
-		}
-		if !full {
-			partial, partialOuts, partialSeq = true, outs, seq
+		if !n.emittedAll() {
+			partial, partialSeq = true, seq
 			break
 		}
 		if spans == nil {
@@ -1929,23 +1949,20 @@ func (n *engineNode) fireSourceRun(ns *nodeSession) {
 			}
 		}
 		for i := range n.out {
-			spans[i] = append(spans[i], Message{Seq: seq, Kind: Data, Payload: outs[i]})
+			spans[i] = append(spans[i], Message{Seq: seq, Kind: Data, Payload: n.outBuf[i]})
 		}
 		committed++
 	}
 	n.runIn[0] = Input{}
+	if !partial {
+		clear(n.outBuf)
+	}
 
 	consumed := committed
 	if partial {
 		consumed++
 	}
-	for j := 0; j < consumed; j++ {
-		ns.ingestQ[j] = nil
-	}
-	ns.ingestQ = ns.ingestQ[consumed:]
-	if len(ns.ingestQ) == 0 {
-		ns.ingestQ = nil
-	}
+	ns.ingestQ.pop(consumed)
 	if committed > 0 {
 		ns.engine.FireRun(ns.nextSeq, ns.nextSeq+uint64(committed)-1, n.allTrue)
 		for i := range n.out {
@@ -1957,7 +1974,7 @@ func (n *engineNode) fireSourceRun(ns *nodeSession) {
 	if partial {
 		ns.nextSeq++
 		ns.ses.progress.Add(1)
-		n.queueFiring(ns, partialSeq, partialOuts)
+		n.queueFiring(ns, partialSeq)
 	}
 	n.flush(ns)
 }

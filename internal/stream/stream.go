@@ -71,6 +71,11 @@ type Input struct {
 // respect to that channel.  Sources (no in-edges) receive a single
 // synthetic present Input carrying the ingested payload and are invoked
 // once per payload, in ingestion order.
+//
+// The in slice belongs to the backend, which may reuse it for the next
+// call (the goroutine engine and the simulator do): on every backend a
+// kernel must not retain it, or write to it, after Process returns.  The
+// payloads it carries may be kept.
 type Kernel interface {
 	Process(seq uint64, in []Input) map[int]any
 }
@@ -80,6 +85,36 @@ type KernelFunc func(seq uint64, in []Input) map[int]any
 
 // Process implements Kernel.
 func (f KernelFunc) Process(seq uint64, in []Input) map[int]any { return f(seq, in) }
+
+// outKernel is the resident engine's allocation-free kernel form.
+// ProcessOut fires once, like Process, but writes the firing's outputs
+// into caller-owned buffers instead of a fresh map: out[i] carries the
+// payload for out-position i and emitted[i] reports whether there is one
+// (the map form's "key i present").  The buffers are max(1, out-degree)
+// long and arrive cleared; at a sink, position 0 is the map form's key 0
+// (see SinkPayload).  A kernel must not retain in, out or emitted.
+// Library kernels implement it; user kernels keep the map form and pay
+// one map per firing through ProcessOut's adapter.
+type outKernel interface {
+	ProcessOut(seq uint64, in []Input, out []any, emitted []bool)
+}
+
+// ProcessOut fires k once into out/emitted (equal lengths), through
+// k's own ProcessOut when it has the form, else by unpacking the map
+// its Process returns.  Positions beyond len(out) are dropped, as the
+// map form's out-of-range keys are.
+func ProcessOut(k Kernel, seq uint64, in []Input, out []any, emitted []bool) {
+	clear(out)
+	clear(emitted)
+	if ok, has := k.(outKernel); has {
+		ok.ProcessOut(seq, in, out, emitted)
+		return
+	}
+	m := k.Process(seq, in)
+	for i := range out {
+		out[i], emitted[i] = m[i]
+	}
+}
 
 // SpanKernel is an optional extension of Kernel for the vectorized hot
 // path (Config.MaxBatch > 1).  A kernel that maps each element to
@@ -122,6 +157,22 @@ func (p passthroughKernel) Process(_ uint64, in []Input) map[int]any {
 		out[i] = payload
 	}
 	return out
+}
+
+func (p passthroughKernel) ProcessOut(_ uint64, in []Input, out []any, emitted []bool) {
+	for _, i := range in {
+		if i.Present {
+			for o := 0; o < p.outs; o++ {
+				out[o], emitted[o] = i.Payload, true
+			}
+			return
+		}
+	}
+	if len(in) == 0 {
+		for o := 0; o < p.outs; o++ {
+			emitted[o] = true
+		}
+	}
 }
 
 func (p passthroughKernel) ProcessSpan(_ uint64, in, out []any) int {

@@ -30,9 +30,10 @@ type SpanKernel = stream.SpanKernel
 
 // mapKernel is a single-input map kernel that vectorizes: Process
 // applies fn to the (single present) input payload and broadcasts the
-// result on all outs edges; ProcessSpan does the same for a whole run
-// with no per-element allocation.  Process always includes out-position
-// 0, so at a sink node both paths deliver fn's result.
+// result on all outs edges; ProcessOut (the engine's allocation-free
+// per-element form, see stream.ProcessOut) and ProcessSpan do the same
+// without a map.  Every form includes out-position 0, so at a sink node
+// each delivers fn's result.
 type mapKernel struct {
 	outs int
 	fn   func(any) any
@@ -51,6 +52,19 @@ func (m mapKernel) Process(_ uint64, in []Input) map[int]any {
 		}
 	}
 	return nil // nothing present: the firing filters
+}
+
+func (m mapKernel) ProcessOut(_ uint64, in []Input, out []any, emitted []bool) {
+	for _, i := range in {
+		if i.Present {
+			r := m.fn(i.Payload)
+			out[0], emitted[0] = r, true
+			for o := 1; o < m.outs; o++ {
+				out[o], emitted[o] = r, true
+			}
+			return
+		}
+	}
 }
 
 func (m mapKernel) ProcessSpan(_ uint64, in, out []any) int {
@@ -117,25 +131,47 @@ func RouteKernels(t *Topology, f Filter) map[NodeID]Kernel {
 	ks := make(map[NodeID]Kernel, t.g.NumNodes())
 	for n := 0; n < t.g.NumNodes(); n++ {
 		id := graph.NodeID(n)
-		out := t.g.Out(id)
-		ks[id] = stream.KernelFunc(func(seq uint64, in []stream.Input) map[int]any {
-			var payload any = seq
-			for _, i := range in {
-				if i.Present {
-					payload = i.Payload
-					break
-				}
-			}
-			outs := make(map[int]any, len(out))
-			for i, e := range out {
-				if f(id, seq, e) {
-					outs[i] = payload
-				}
-			}
-			return outs
-		})
+		ks[id] = routeKernel{id: id, out: t.g.Out(id), f: f}
 	}
 	return ks
+}
+
+// routeKernel is one node's RouteKernels kernel: it forwards the first
+// present payload (the sequence number when none is) on the out-edges
+// f selects.
+type routeKernel struct {
+	id  NodeID
+	out []EdgeID
+	f   Filter
+}
+
+func (k routeKernel) Process(seq uint64, in []Input) map[int]any {
+	payload := routePayload(seq, in)
+	outs := make(map[int]any, len(k.out))
+	for i, e := range k.out {
+		if k.f(k.id, seq, e) {
+			outs[i] = payload
+		}
+	}
+	return outs
+}
+
+func (k routeKernel) ProcessOut(seq uint64, in []Input, out []any, emitted []bool) {
+	payload := routePayload(seq, in)
+	for i, e := range k.out {
+		if k.f(k.id, seq, e) {
+			out[i], emitted[i] = payload, true
+		}
+	}
+}
+
+func routePayload(seq uint64, in []Input) any {
+	for _, i := range in {
+		if i.Present {
+			return i.Payload
+		}
+	}
+	return seq
 }
 
 // SimConfig parameterizes Simulate.

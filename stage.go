@@ -3,6 +3,8 @@ package streamdag
 import (
 	"fmt"
 	"reflect"
+
+	"streamdag/internal/stream"
 )
 
 // This file defines the typed stage primitives of the Flow builder: the
@@ -191,6 +193,14 @@ func broadcast(nOut int, v any) map[int]any {
 	return out
 }
 
+// broadcastOut is broadcast in the engine's out-slice form (see
+// stream.ProcessOut).
+func broadcastOut(nOut int, v any, out []any, emitted []bool) {
+	for i := 0; i < nOut; i++ {
+		out[i], emitted[i] = v, true
+	}
+}
+
 // assertAs asserts v to T, treating a nil payload as the zero value of
 // an interface-typed T — the single definition of the rule the flow
 // boundaries, TypedSink, and TypedCollector all apply.
@@ -267,6 +277,16 @@ func (k flowMapKernel[A, B]) Process(seq uint64, in []Input) map[int]any {
 		return nil
 	}
 	return broadcast(k.nOut, k.fn(v))
+}
+
+func (k flowMapKernel[A, B]) ProcessOut(seq uint64, in []Input, out []any, emitted []bool) {
+	p, ok := firstPresent(in)
+	if !ok {
+		return
+	}
+	if v, ok := castPayload[A](k.slot, k.name, seq, p); ok {
+		broadcastOut(k.nOut, k.fn(v), out, emitted)
+	}
 }
 
 func (k flowMapKernel[A, B]) ProcessSpan(_ uint64, in, out []any) int {
@@ -533,6 +553,19 @@ func (t tapKernel) Process(seq uint64, in []Input) map[int]any {
 		break
 	}
 	return out
+}
+
+// ProcessOut forwards to the wrapped kernel's out-slice form when it has
+// one (else to its Process, through the engine's adapter) and taps the
+// first emitted element.
+func (t tapKernel) ProcessOut(seq uint64, in []Input, out []any, emitted []bool) {
+	stream.ProcessOut(t.k, seq, in, out, emitted)
+	for i, em := range emitted {
+		if em {
+			t.fn(out[i])
+			break
+		}
+	}
 }
 
 // tapSpanKernel is the vectorized tap: the inner span commits a prefix,
